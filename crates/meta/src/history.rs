@@ -69,19 +69,7 @@ impl VersionHistory {
     /// Panics if `summary.version` is not exactly one past the last
     /// recorded version — tickets are issued densely and in order.
     pub fn append(&self, summary: WriteSummary) {
-        let mut rows = self.rows.write();
-        let expected = VersionId::new(rows.len() as u64 + 1);
-        assert_eq!(
-            summary.version, expected,
-            "history rows must be appended densely"
-        );
-        if let Some(prev) = rows.last() {
-            assert!(
-                summary.capacity >= prev.capacity,
-                "capacity must be monotonic"
-            );
-        }
-        rows.push(summary);
+        push_dense(&mut self.rows.write(), summary);
     }
 
     /// All summaries of versions strictly greater than `known` (a row
@@ -96,15 +84,17 @@ impl VersionHistory {
 
     /// Merges a delta obtained from [`Self::summaries_since`] into this
     /// history: already-known versions are skipped, new ones appended in
-    /// order. Panics (via [`Self::append`]) on a gap, which would mean the
+    /// order. The whole delta is merged under one write lock, so
+    /// concurrent absorbs of overlapping deltas (two ranks sharing one
+    /// mirror) cannot interleave between the skip test and the append.
+    /// Panics (like [`Self::append`]) on a gap, which would mean the
     /// server skipped rows.
     pub fn absorb(&self, delta: impl IntoIterator<Item = WriteSummary>) {
+        let mut rows = self.rows.write();
         for summary in delta {
-            let known = self.rows.read().len() as u64;
-            if summary.version.raw() <= known {
-                continue;
+            if summary.version.raw() > rows.len() as u64 {
+                push_dense(&mut rows, summary);
             }
-            self.append(summary);
         }
     }
 
@@ -149,6 +139,22 @@ impl VersionHistory {
             .find(|s| s.extents.overlaps(&ExtentList::single(range)))
             .map(|s| (s.version, s.capacity))
     }
+}
+
+/// Appends `summary` to `rows`, asserting density and monotonic capacity.
+fn push_dense(rows: &mut Vec<WriteSummary>, summary: WriteSummary) {
+    let expected = VersionId::new(rows.len() as u64 + 1);
+    assert_eq!(
+        summary.version, expected,
+        "history rows must be appended densely"
+    );
+    if let Some(prev) = rows.last() {
+        assert!(
+            summary.capacity >= prev.capacity,
+            "capacity must be monotonic"
+        );
+    }
+    rows.push(summary);
 }
 
 #[cfg(test)]
@@ -253,6 +259,39 @@ mod tests {
         );
         assert!(h.summaries_since(3).is_empty());
         assert!(h.summaries_since(99).is_empty());
+    }
+
+    #[test]
+    fn concurrent_absorbs_of_overlapping_deltas_stay_dense() {
+        // Two threads share one mirror and absorb overlapping deltas of
+        // the same source at the same time, as two ranks behind one
+        // remote version manager do.
+        for _ in 0..200 {
+            let source = VersionHistory::new();
+            for v in 1..=32 {
+                source.append(summary(v, &[(v * 10, 5)], 64));
+            }
+            let mirror = VersionHistory::new();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    let (source, mirror) = (&source, &mirror);
+                    s.spawn(move || {
+                        for known in (0..32).step_by(4) {
+                            mirror.absorb(source.summaries_since(known));
+                        }
+                    });
+                }
+            });
+            assert_eq!(mirror.len(), 32);
+            assert_eq!(mirror.summaries_since(0), source.summaries_since(0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "densely")]
+    fn absorbing_a_gap_is_rejected() {
+        let h = VersionHistory::new();
+        h.absorb(vec![summary(1, &[(0, 1)], 64), summary(3, &[(0, 1)], 64)]);
     }
 
     #[test]

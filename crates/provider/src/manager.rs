@@ -9,7 +9,9 @@
 //! are the obvious alternatives and are compared in the E7 ablation.
 
 use crate::store::{ChunkStore, DataProvider};
-use atomio_simgrid::{ClientNics, CostModel, DetRng, FaultInjector, Participant, Resource};
+use atomio_simgrid::{
+    ClientNics, CostModel, DetRng, FaultInjector, Participant, Resource, SimTime,
+};
 use atomio_types::{ByteRange, ChunkId, Error, ProviderId, Result};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,24 +250,14 @@ impl ProviderManager {
         homes: &[ProviderId],
         range: atomio_types::ByteRange,
     ) -> Result<Bytes> {
-        let mut last_err = Error::Internal(format!("no homes recorded for {chunk}"));
+        let mut last_err = no_homes(chunk);
         for &home in homes {
             match self
                 .provider(home)
                 .and_then(|prov| prov.get_chunk_range(p, chunk, range))
             {
                 Ok(data) => return Ok(data),
-                // Retriable per-home outcomes: the replica is down, lost
-                // the chunk, or is unreachable over the transport (the
-                // typed kind — timeout vs refused vs injected loss — is
-                // preserved in `last_err` for the caller's retry policy).
-                Err(
-                    e @ (Error::ProviderFailed(_)
-                    | Error::ChunkNotFound { .. }
-                    | Error::Transport { .. }),
-                ) => {
-                    last_err = e;
-                }
+                Err(e) if retriable_read(&e) => last_err = e,
                 Err(e) => return Err(e),
             }
         }
@@ -309,10 +301,18 @@ impl ProviderManager {
     /// provider's NIC and disk. Placement and quorum semantics are those
     /// of [`Self::put_replicated`], evaluated independently per chunk.
     ///
+    /// Two phases: the first allocates every chunk's homes and books the
+    /// client NIC in batch order; the second hands each provider its
+    /// copies in one [`ChunkStore::put_chunk_batch_at`] call, which a
+    /// remote provider turns into batch frames rather than one RPC per
+    /// copy. Each provider still books its copies in batch order, so
+    /// virtual time is that of a copy-by-copy loop.
+    ///
     /// Returns one outcome per input chunk, in order: the surviving homes
-    /// on success, [`Error::InsufficientReplicas`] when fault injection
-    /// left a chunk under quorum. Homes that are already failed when the
-    /// batch is issued cost nothing, as in the serial path.
+    /// (allocation order, primary first) on success,
+    /// [`Error::InsufficientReplicas`] when fault injection left a chunk
+    /// under quorum. Homes that are already failed when the batch is
+    /// issued cost nothing, as in the serial path.
     pub fn put_batch_replicated(
         &self,
         p: &Participant,
@@ -322,52 +322,64 @@ impl ProviderManager {
     ) -> Vec<Result<Vec<ProviderId>>> {
         let client_nic = self.client_nic(p);
         let now = p.now_ns();
+        // Phase 1: each chunk's live copies as `(home, injection done)`,
+        // plus the error of a home that could not be looked up.
+        let mut batches: Vec<Vec<(SimTime, ChunkId, Bytes)>> =
+            vec![Vec::new(); self.providers.len()];
+        let plans: Vec<_> = items
+            .iter()
+            .map(|(chunk, data)| {
+                let mut copies = Vec::new();
+                for home in self.allocate_replicas(replicas) {
+                    let prov = match self.provider(home) {
+                        Ok(prov) => prov,
+                        Err(e) => return (copies, Some(e)),
+                    };
+                    // A home that is already down books nothing,
+                    // mirroring the serial path's up-front liveness check.
+                    if self.faults.is_failed(home) {
+                        continue;
+                    }
+                    let net_ns = prov.cost().net_transfer(data.len() as u64).as_nanos() as u64;
+                    let inj_done = client_nic.reserve_ns(arrival(prov, now), net_ns);
+                    // Cut-through: the provider starts receiving when the
+                    // first byte leaves the client, not when the last does.
+                    batches[slot(home)].push((inj_done - net_ns, *chunk, data.clone()));
+                    copies.push((home, inj_done));
+                }
+                (copies, None)
+            })
+            .collect();
+        // Phase 2: one batch call per provider.
+        let mut results = self.per_provider(batches, |prov, batch| prov.put_chunk_batch_at(batch));
         let mut latest = now;
-        let mut outcomes = Vec::with_capacity(items.len());
-        for (chunk, data) in items {
-            let homes = self.allocate_replicas(replicas);
-            let mut placed = Vec::new();
-            let mut fatal = None;
-            for &home in &homes {
-                let prov = match self.provider(home) {
-                    Ok(prov) => prov,
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
-                    }
-                };
-                // A home that is already down books nothing, mirroring
-                // the serial path's up-front liveness check.
-                if self.faults.is_failed(home) {
-                    continue;
-                }
-                let net_ns = prov.cost().net_transfer(data.len() as u64).as_nanos() as u64;
-                let arrival = now + prov.cost().rpc_round_trip().as_nanos() as u64;
-                let inj_done = client_nic.reserve_ns(arrival, net_ns);
-                // Cut-through: the provider starts receiving when the
-                // first byte leaves the client, not when the last does.
-                let inj_start = inj_done - net_ns;
-                match prov.put_chunk_at(inj_start, *chunk, data.clone()) {
-                    Ok(done) => {
-                        placed.push(home);
-                        latest = latest.max(done).max(inj_done);
-                    }
-                    Err(Error::ProviderFailed(_) | Error::Transport { .. }) => continue,
-                    Err(e) => {
-                        fatal = Some(e);
-                        break;
+        let outcomes = plans
+            .into_iter()
+            .map(|(copies, lookup_error)| {
+                let mut placed = Vec::new();
+                let mut fatal = None;
+                for (home, inj_done) in copies {
+                    match results[slot(home)].next().expect("one outcome per copy") {
+                        Ok(done) => {
+                            placed.push(home);
+                            latest = latest.max(done).max(inj_done);
+                        }
+                        Err(Error::ProviderFailed(_) | Error::Transport { .. }) => {}
+                        Err(e) => {
+                            fatal.get_or_insert(e);
+                        }
                     }
                 }
-            }
-            outcomes.push(match fatal {
-                Some(e) => Err(e),
-                None if placed.len() < min_ok.max(1) => Err(Error::InsufficientReplicas {
-                    wanted: min_ok.max(1),
-                    placed: placed.len(),
-                }),
-                None => Ok(placed),
-            });
-        }
+                match fatal.or(lookup_error) {
+                    Some(e) => Err(e),
+                    None if placed.len() < min_ok.max(1) => Err(Error::InsufficientReplicas {
+                        wanted: min_ok.max(1),
+                        placed: placed.len(),
+                    }),
+                    None => Ok(placed),
+                }
+            })
+            .collect();
         p.sleep_until_ns(latest);
         outcomes
     }
@@ -382,6 +394,12 @@ impl ProviderManager {
     /// sleeps once, to the latest reception. Returns one outcome per
     /// request, in order; per-request errors are those of
     /// [`Self::get_with_failover`], and failed lookups book nothing.
+    ///
+    /// Every request's first home is read in one
+    /// [`ChunkStore::get_chunk_range_batch_at`] call per provider; a
+    /// request whose first home fails then tries its other homes one by
+    /// one. Client NIC receptions are booked afterwards, in request
+    /// order.
     pub fn get_batch_with_failover(
         &self,
         p: &Participant,
@@ -389,54 +407,118 @@ impl ProviderManager {
     ) -> Vec<Result<Bytes>> {
         let client_nic = self.client_nic(p);
         let now = p.now_ns();
+        // Phase 1: route every request to its first home.
+        let mut batches: Vec<Vec<(SimTime, ChunkId, ByteRange)>> =
+            vec![Vec::new(); self.providers.len()];
+        let firsts: Vec<Result<ProviderId>> = requests
+            .iter()
+            .map(|req| {
+                let &home = req.homes.first().ok_or_else(|| no_homes(req.chunk))?;
+                let prov = self.provider(home)?;
+                batches[slot(home)].push((arrival(prov, now), req.chunk, req.range));
+                Ok(home)
+            })
+            .collect();
+        // Phase 2: one batch call per provider.
+        let mut results =
+            self.per_provider(batches, |prov, batch| prov.get_chunk_range_batch_at(&batch));
         let mut latest = now;
-        let mut outcomes = Vec::with_capacity(requests.len());
-        for req in requests {
-            let mut verdict = None;
-            let mut last_err = Error::Internal(format!("no homes recorded for {}", req.chunk));
-            for &home in &req.homes {
-                let prov = match self.provider(home) {
-                    Ok(prov) => prov,
-                    Err(e) => {
-                        verdict = Some(Err(e));
-                        break;
-                    }
-                };
-                let arrival = now + prov.cost().rpc_round_trip().as_nanos() as u64;
-                match prov.get_chunk_range_at(arrival, req.chunk, req.range) {
+        // Reception occupies the client NIC for the transfer time, ending
+        // no earlier than the last byte leaves the provider.
+        let mut receive = |prov: &Arc<dyn ChunkStore>, range: ByteRange, sent: SimTime| {
+            let net_ns = prov.cost().net_transfer(range.len).as_nanos() as u64;
+            latest = latest.max(client_nic.reserve_ns(sent.saturating_sub(net_ns), net_ns));
+        };
+        let outcomes = requests
+            .iter()
+            .zip(firsts)
+            .map(|(req, first)| {
+                let home = first?;
+                let mut last_err = match results[slot(home)].next().expect("one outcome per read") {
                     Ok((data, sent)) => {
-                        let net_ns = prov.cost().net_transfer(req.range.len).as_nanos() as u64;
-                        // Reception occupies the client NIC for the
-                        // transfer time, ending no earlier than the last
-                        // byte leaves the provider.
-                        let recv_done = client_nic.reserve_ns(sent.saturating_sub(net_ns), net_ns);
-                        latest = latest.max(recv_done);
-                        verdict = Some(Ok(data));
-                        break;
+                        receive(self.provider(home)?, req.range, sent);
+                        return Ok(data);
                     }
-                    Err(
-                        e @ (Error::ProviderFailed(_)
-                        | Error::ChunkNotFound { .. }
-                        | Error::Transport { .. }),
-                    ) => {
-                        last_err = e;
-                    }
-                    Err(e) => {
-                        verdict = Some(Err(e));
-                        break;
+                    Err(e) if retriable_read(&e) => e,
+                    Err(e) => return Err(e),
+                };
+                for &home in &req.homes[1..] {
+                    let prov = self.provider(home)?;
+                    match prov.get_chunk_range_at(arrival(prov, now), req.chunk, req.range) {
+                        Ok((data, sent)) => {
+                            receive(prov, req.range, sent);
+                            return Ok(data);
+                        }
+                        Err(e) if retriable_read(&e) => last_err = e,
+                        Err(e) => return Err(e),
                     }
                 }
-            }
-            outcomes.push(verdict.unwrap_or(Err(last_err)));
-        }
+                Err(last_err)
+            })
+            .collect();
         p.sleep_until_ns(latest);
         outcomes
+    }
+
+    /// Phase 2 of the batch engine: hands each provider its batch in one
+    /// `call` (providers with nothing to do are not called) and returns
+    /// the outcomes per provider slot, in batch order.
+    fn per_provider<T, R>(
+        &self,
+        batches: Vec<Vec<T>>,
+        call: impl Fn(&Arc<dyn ChunkStore>, Vec<T>) -> Vec<R>,
+    ) -> Vec<std::vec::IntoIter<R>> {
+        self.providers
+            .iter()
+            .zip(batches)
+            .map(|(prov, batch)| {
+                let n = batch.len();
+                let outcomes = if n == 0 {
+                    Vec::new()
+                } else {
+                    call(prov, batch)
+                };
+                assert_eq!(
+                    outcomes.len(),
+                    n,
+                    "{} must answer every batch item",
+                    prov.id()
+                );
+                outcomes.into_iter()
+            })
+            .collect()
     }
 
     /// The shared fault plane.
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.faults
     }
+}
+
+/// A provider's slot in the fleet vector.
+fn slot(home: ProviderId) -> usize {
+    home.raw() as usize
+}
+
+/// The instant a request issued at `now` reaches `prov`: every request
+/// of a batch shares one overlapped round-trip offset.
+fn arrival(prov: &Arc<dyn ChunkStore>, now: SimTime) -> SimTime {
+    now + prov.cost().rpc_round_trip().as_nanos() as u64
+}
+
+fn no_homes(chunk: ChunkId) -> Error {
+    Error::Internal(format!("no homes recorded for {chunk}"))
+}
+
+/// Per-home read outcomes that move on to the next replica: the home is
+/// down, lost the chunk, or is unreachable over the transport (the typed
+/// kind — timeout vs refused vs injected loss — is kept for the caller's
+/// retry policy).
+fn retriable_read(e: &Error) -> bool {
+    matches!(
+        e,
+        Error::ProviderFailed(_) | Error::ChunkNotFound { .. } | Error::Transport { .. }
+    )
 }
 
 #[cfg(test)]

@@ -43,6 +43,31 @@ pub trait ChunkStore: Send + Sync + std::fmt::Debug {
         range: ByteRange,
     ) -> Result<(Bytes, SimTime)>;
 
+    /// Reservation-based puts of a batch of chunks, each with its own
+    /// arrival instant; one outcome per item, in order. The default
+    /// loops over [`Self::put_chunk_at`]; remote proxies override it to
+    /// carry the batch in as few frames as possible.
+    fn put_chunk_batch_at(&self, items: Vec<(SimTime, ChunkId, Bytes)>) -> Vec<Result<SimTime>> {
+        items
+            .into_iter()
+            .map(|(arrival, chunk, data)| self.put_chunk_at(arrival, chunk, data))
+            .collect()
+    }
+
+    /// Reservation-based ranged gets of a batch, each with its own
+    /// arrival instant; one outcome per item, in order. The default
+    /// loops over [`Self::get_chunk_range_at`]; remote proxies override
+    /// it as [`Self::put_chunk_batch_at`] does.
+    fn get_chunk_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        items
+            .iter()
+            .map(|&(arrival, chunk, range)| self.get_chunk_range_at(arrival, chunk, range))
+            .collect()
+    }
+
     /// True if the chunk is present (no cost charged).
     fn has_chunk(&self, chunk: ChunkId) -> bool;
 

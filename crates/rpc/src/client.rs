@@ -19,6 +19,7 @@
 
 use crate::proto::{Request, Response};
 use crate::transport::{unexpected, Transport};
+use crate::wire::COALESCE_PAYLOAD_BYTES;
 use atomio_meta::{Node, NodeKey, NodeStore, VersionHistory};
 use atomio_provider::ChunkStore;
 use atomio_simgrid::clock::SimTime;
@@ -58,74 +59,115 @@ impl RemoteProvider {
         self.transport.call(request, payload)
     }
 
-    /// Stores a batch of chunks in one frame; one completion instant per
-    /// item, in order.
-    pub fn put_chunk_batch(
-        &self,
-        arrival: SimTime,
-        items: Vec<(ChunkId, Bytes)>,
-    ) -> Result<Vec<Result<SimTime>>> {
-        let mut payload = Vec::new();
-        let lens = items
+    /// Sends one frame of a put batch: a plain `PutChunk` for a single
+    /// item (so bulk chunks look on the wire exactly as unbatched ones),
+    /// a `PutChunkBatch` otherwise. A failure of the whole frame fans out
+    /// as one cloned error per item.
+    fn put_frame(&self, mut frame: Vec<(SimTime, ChunkId, Bytes)>) -> Vec<Result<SimTime>> {
+        if frame.len() == 1 {
+            let (arrival, chunk, data) = frame.pop().expect("one item");
+            return vec![self.put_chunk_at(arrival, chunk, data)];
+        }
+        let n = frame.len();
+        let mut payload = Vec::with_capacity(frame.iter().map(|(_, _, d)| d.len()).sum());
+        let items = frame
             .iter()
-            .map(|(chunk, data)| {
+            .map(|(_, chunk, data)| {
                 payload.extend_from_slice(data);
                 (*chunk, data.len() as u64)
             })
             .collect();
         let request = Request::PutChunkBatch {
             provider: self.id,
-            arrival,
-            items: lens,
+            arrival: frame[0].0,
+            items,
         };
-        match self.call(&request, &payload)? {
-            (Response::PutBatch { results }, _) => Ok(results),
-            (other, _) => Err(unexpected("PutBatch", other)),
+        match self.call(&request, &payload) {
+            Ok((Response::PutBatch { results }, _)) if results.len() == n => results,
+            Ok((other, _)) => vec![Err(unexpected("PutBatch", other)); n],
+            Err(e) => vec![Err(e); n],
         }
     }
 
-    /// Fetches a batch of chunk ranges in one frame; one `(payload,
-    /// sent)` outcome per item, in order.
-    pub fn get_chunk_range_batch(
-        &self,
-        arrival: SimTime,
-        items: &[(ChunkId, ByteRange)],
-    ) -> Result<Vec<Result<(Bytes, SimTime)>>> {
+    /// Sends one frame of a get batch, the mirror of [`Self::put_frame`].
+    fn get_frame(&self, frame: &[(SimTime, ChunkId, ByteRange)]) -> Vec<Result<(Bytes, SimTime)>> {
+        if let [(arrival, chunk, range)] = *frame {
+            return vec![self.get_chunk_range_at(arrival, chunk, range)];
+        }
+        let n = frame.len();
         let request = Request::GetChunkRangeBatch {
             provider: self.id,
-            arrival,
-            items: items.to_vec(),
+            arrival: frame[0].0,
+            items: frame
+                .iter()
+                .map(|&(_, chunk, range)| (chunk, range))
+                .collect(),
         };
-        match self.call(&request, &[])? {
-            (Response::ChunkBatch { results }, payload) => {
-                let mut offset = 0usize;
-                let total: u64 = results
-                    .iter()
-                    .filter_map(|r| r.as_ref().ok().map(|&(len, _)| len))
-                    .sum();
-                if total != payload.len() as u64 {
-                    return Err(Error::Transport {
-                        kind: atomio_types::TransportErrorKind::Protocol,
-                        detail: format!(
-                            "batch declares {total} payload bytes, frame carries {}",
-                            payload.len()
-                        ),
-                    });
-                }
-                Ok(results
-                    .into_iter()
-                    .map(|r| {
-                        r.map(|(len, sent)| {
-                            let data = payload.slice(offset..offset + len as usize);
-                            offset += len as usize;
-                            (data, sent)
-                        })
-                    })
-                    .collect())
+        match self.call(&request, &[]) {
+            Ok((Response::ChunkBatch { results }, payload)) if results.len() == n => {
+                split_chunk_batch(results, payload).unwrap_or_else(|e| vec![Err(e); n])
             }
-            (other, _) => Err(unexpected("ChunkBatch", other)),
+            Ok((other, _)) => vec![Err(unexpected("ChunkBatch", other)); n],
+            Err(e) => vec![Err(e); n],
         }
     }
+}
+
+/// Cuts a batch into frames, returning each frame's item count: a new
+/// frame starts wherever the arrival instant changes (a frame carries
+/// one arrival) and before an item whose bytes would take the frame
+/// past [`COALESCE_PAYLOAD_BYTES`], so an item at or above that size
+/// travels alone.
+fn frame_lens(items: impl IntoIterator<Item = (SimTime, u64)>) -> Vec<usize> {
+    let mut lens = Vec::new();
+    let mut current: Option<(SimTime, u64, usize)> = None;
+    for (arrival, bytes) in items {
+        current = match current {
+            Some((at, total, count))
+                if at == arrival && total + bytes <= COALESCE_PAYLOAD_BYTES as u64 =>
+            {
+                Some((at, total + bytes, count + 1))
+            }
+            Some((_, _, count)) => {
+                lens.push(count);
+                Some((arrival, bytes, 1))
+            }
+            None => Some((arrival, bytes, 1)),
+        };
+    }
+    lens.extend(current.map(|(_, _, count)| count));
+    lens
+}
+
+/// Splits a `ChunkBatch` response payload back into per-item slices.
+fn split_chunk_batch(
+    results: Vec<Result<(u64, SimTime)>>,
+    payload: Bytes,
+) -> Result<Vec<Result<(Bytes, SimTime)>>> {
+    let total: u64 = results
+        .iter()
+        .filter_map(|r| r.as_ref().ok().map(|&(len, _)| len))
+        .sum();
+    if total != payload.len() as u64 {
+        return Err(Error::Transport {
+            kind: atomio_types::TransportErrorKind::Protocol,
+            detail: format!(
+                "batch declares {total} payload bytes, frame carries {}",
+                payload.len()
+            ),
+        });
+    }
+    let mut offset = 0usize;
+    Ok(results
+        .into_iter()
+        .map(|r| {
+            r.map(|(len, sent)| {
+                let data = payload.slice(offset..offset + len as usize);
+                offset += len as usize;
+                (data, sent)
+            })
+        })
+        .collect())
 }
 
 impl ChunkStore for RemoteProvider {
@@ -182,6 +224,34 @@ impl ChunkStore for RemoteProvider {
             (Response::ChunkData { sent }, data) => Ok((data, sent)),
             (other, _) => Err(unexpected("ChunkData", other)),
         }
+    }
+
+    /// One frame per run of items that share an arrival, capped at
+    /// [`COALESCE_PAYLOAD_BYTES`] of payload (see `frame_lens`).
+    fn put_chunk_batch_at(&self, items: Vec<(SimTime, ChunkId, Bytes)>) -> Vec<Result<SimTime>> {
+        let lens = frame_lens(items.iter().map(|(at, _, data)| (*at, data.len() as u64)));
+        let mut items = items.into_iter();
+        let mut out = Vec::with_capacity(items.len());
+        for len in lens {
+            out.extend(self.put_frame(items.by_ref().take(len).collect()));
+        }
+        out
+    }
+
+    /// One frame per run of items that share an arrival, capped at
+    /// [`COALESCE_PAYLOAD_BYTES`] of requested bytes.
+    fn get_chunk_range_batch_at(
+        &self,
+        items: &[(SimTime, ChunkId, ByteRange)],
+    ) -> Vec<Result<(Bytes, SimTime)>> {
+        let mut out = Vec::with_capacity(items.len());
+        let mut rest = items;
+        for len in frame_lens(items.iter().map(|&(at, _, range)| (at, range.len))) {
+            let (frame, tail) = rest.split_at(len);
+            out.extend(self.get_frame(frame));
+            rest = tail;
+        }
+        out
     }
 
     fn has_chunk(&self, chunk: ChunkId) -> bool {

@@ -108,31 +108,70 @@ mod tests {
 
     #[test]
     fn loopback_serves_chunk_batches() {
-        let transport: Arc<dyn Transport> =
-            Arc::new(Loopback::new(Arc::new(ProviderService::new(1))));
+        let metrics = atomio_simgrid::Metrics::new();
+        let transport: Arc<dyn Transport> = Arc::new(
+            Loopback::new(Arc::new(ProviderService::new(1))).with_metrics(metrics.clone()),
+        );
         let provider = RemoteProvider::new(ProviderId::new(0), Arc::clone(&transport));
 
         let items = vec![
-            (ChunkId::new(1), Bytes::from_static(b"aaaa")),
-            (ChunkId::new(2), Bytes::from_static(b"bb")),
+            (3, ChunkId::new(1), Bytes::from_static(b"aaaa")),
+            (3, ChunkId::new(2), Bytes::from_static(b"bb")),
         ];
-        let puts = provider.put_chunk_batch(3, items).unwrap();
+        let puts = provider.put_chunk_batch_at(items);
         assert_eq!(puts.len(), 2);
         assert!(puts.iter().all(|r| r == &Ok(3)));
 
-        let gets = provider
-            .get_chunk_range_batch(
-                0,
-                &[
-                    (ChunkId::new(2), ByteRange::new(0, 2)),
-                    (ChunkId::new(9), ByteRange::new(0, 1)), // missing
-                    (ChunkId::new(1), ByteRange::new(1, 2)),
-                ],
-            )
-            .unwrap();
+        let gets = provider.get_chunk_range_batch_at(&[
+            (0, ChunkId::new(2), ByteRange::new(0, 2)),
+            (0, ChunkId::new(9), ByteRange::new(0, 1)), // missing
+            (0, ChunkId::new(1), ByteRange::new(1, 2)),
+        ]);
         assert_eq!(gets[0].as_ref().unwrap().0.as_ref(), b"bb");
         assert!(matches!(gets[1], Err(Error::ChunkNotFound { .. })));
         assert_eq!(gets[2].as_ref().unwrap().0.as_ref(), b"aa");
+        assert_eq!(
+            metrics.counter("rpc.messages").get(),
+            2,
+            "one frame per batch"
+        );
+    }
+
+    #[test]
+    fn chunk_batches_cut_frames_at_arrival_changes_and_the_payload_cap() {
+        use crate::wire::COALESCE_PAYLOAD_BYTES;
+        let metrics = atomio_simgrid::Metrics::new();
+        let transport: Arc<dyn Transport> = Arc::new(
+            Loopback::new(Arc::new(ProviderService::new(1))).with_metrics(metrics.clone()),
+        );
+        let provider = RemoteProvider::new(ProviderId::new(0), transport);
+        let frames = || metrics.counter("rpc.messages").get();
+
+        // Two arrivals: two frames, each item keeping its own arrival.
+        let puts = provider.put_chunk_batch_at(vec![
+            (5, ChunkId::new(1), Bytes::from_static(b"a")),
+            (5, ChunkId::new(2), Bytes::from_static(b"b")),
+            (7, ChunkId::new(3), Bytes::from_static(b"c")),
+        ]);
+        assert_eq!(puts, vec![Ok(5), Ok(5), Ok(7)]);
+        assert_eq!(frames(), 2);
+
+        // 3 items at half the cap: 1 + 2 would pass it, so 2 frames.
+        let half = Bytes::from(vec![1u8; COALESCE_PAYLOAD_BYTES / 2]);
+        let puts = provider.put_chunk_batch_at(
+            (10..13)
+                .map(|i| (0, ChunkId::new(i), half.clone()))
+                .collect(),
+        );
+        assert!(puts.iter().all(|r| r.is_ok()));
+        assert_eq!(frames(), 4);
+        let gets = provider.get_chunk_range_batch_at(
+            &(10..13)
+                .map(|i| (0, ChunkId::new(i), ByteRange::new(0, half.len() as u64)))
+                .collect::<Vec<_>>(),
+        );
+        assert!(gets.iter().all(|r| r.as_ref().unwrap().0 == half));
+        assert_eq!(frames(), 6);
     }
 
     #[test]

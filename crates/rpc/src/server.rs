@@ -188,15 +188,17 @@ impl Service for ProviderService {
                     });
                 }
                 let mut offset = 0usize;
-                let results = items
+                let items = items
                     .into_iter()
                     .map(|(chunk, len)| {
                         let data = payload.slice(offset..offset + len as usize);
                         offset += len as usize;
-                        store.put_chunk_at(arrival, chunk, data)
+                        (arrival, chunk, data)
                     })
                     .collect();
-                ok(Response::PutBatch { results })
+                ok(Response::PutBatch {
+                    results: store.put_chunk_batch_at(items),
+                })
             }
             GetChunk {
                 provider,
@@ -235,17 +237,19 @@ impl Service for ProviderService {
                     Ok(s) => s,
                     Err(e) => return fail(e),
                 };
-                let mut out = Vec::new();
-                let results = items
+                let items: Vec<_> = items
                     .into_iter()
-                    .map(|(chunk, range)| {
-                        store
-                            .get_chunk_range_at(arrival, chunk, range)
-                            .map(|(data, sent)| {
-                                let len = data.len() as u64;
-                                out.extend_from_slice(&data);
-                                (len, sent)
-                            })
+                    .map(|(chunk, range)| (arrival, chunk, range))
+                    .collect();
+                let mut out = Vec::new();
+                let results = store
+                    .get_chunk_range_batch_at(&items)
+                    .into_iter()
+                    .map(|r| {
+                        r.map(|(data, sent)| {
+                            out.extend_from_slice(&data);
+                            (data.len() as u64, sent)
+                        })
                     })
                     .collect();
                 (Response::ChunkBatch { results }, Bytes::from(out))

@@ -195,8 +195,11 @@ fn version_mismatch(peer: u8) -> io::Error {
 /// Payloads up to this size are coalesced into the prefix+header buffer
 /// so the whole frame leaves in ONE `write` call — with `TCP_NODELAY`
 /// every write is a packet, and per-syscall cost dominates small frames.
-/// Larger payloads are written separately to avoid the copy.
-const COALESCE_PAYLOAD_BYTES: usize = 256 * 1024;
+/// Larger payloads are written separately to avoid the copy. The same
+/// bound caps the payload of one chunk batch frame (see
+/// `RemoteProvider`): a batch frame always leaves in one write, and a
+/// bulk chunk keeps its own plain frame.
+pub const COALESCE_PAYLOAD_BYTES: usize = 256 * 1024;
 
 /// Writes one frame tagged with `request_id`. Returns the number of
 /// bytes put on the wire. Small frames are emitted in a single `write`

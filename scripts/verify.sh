@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Full verification gate, run offline:
 #   1. tier-1: release build + the root test suite
-#   2. formatting
-#   3. lints (warnings are errors, workspace-wide)
+#   2. every workspace crate's own tests
+#   3. the perfbench package's smoke tests (it implements the workspace
+#      seams in its tracing decorators, so seam changes must build there)
+#   4. formatting
+#   5. lints (warnings are errors, workspace-wide)
 #
 # Usage: scripts/verify.sh
 #   VERIFY_TCP=1 scripts/verify.sh   # also build the three RPC server
@@ -34,6 +37,12 @@ cargo build --release --offline
 
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
+
+echo "== workspace: cargo test -q --workspace =="
+cargo test -q --offline --workspace
+
+echo "== perfbench: smoke tests (release) =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -398,6 +398,7 @@ impl Service for TriService {
                 | ProviderEvictChunk { .. }
                 | ProviderChecksumOf { .. }
                 | ProviderCorruptChunk { .. }
+                | ProviderEvictBatch { .. }
         );
         let version_op = matches!(
             request,
